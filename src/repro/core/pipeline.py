@@ -178,14 +178,16 @@ class BorgesPipeline:
         self._metric_labels: Dict[str, str] = {
             str(k): str(v) for k, v in (metric_labels or {}).items()
         }
+        self._tracer = tracer
         # Digests anchor artifact fingerprints; the web digest is taken
         # before any fault wrapper so chaos cannot silently change the
         # address of a clean artifact (the fault salt does that, loudly).
-        self._dataset_digests = {
-            "whois": dataset_digest(whois),
-            "pdb": dataset_digest(pdb),
-            "web": dataset_digest(web),
-        }
+        with self._spans.span("datasets.digest"):
+            self._dataset_digests = {
+                "whois": dataset_digest(whois),
+                "pdb": dataset_digest(pdb),
+                "web": dataset_digest(web),
+            }
         resilience = self._config.resilience
         self._fault_profile = resolve_fault_profile(resilience.fault_profile)
         self._fault_injector: Optional[FaultInjector] = None
@@ -212,7 +214,6 @@ class BorgesPipeline:
             registry=registry,
             injector=self._fault_injector,
         )
-        self._tracer = tracer
         self._registry = registry
         self._artifact_store = artifact_store
         self._scraper = HeadlessScraper(

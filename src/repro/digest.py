@@ -7,14 +7,22 @@ slices, stage payloads — must hash to the same bytes for the same
 logical content.  This module is the single canonicalisation point:
 dataclasses, sets, tuples and bytes are coerced to a deterministic JSON
 form, then hashed with SHA-256.
+
+Dataset-sized payloads skip the recursive coercion: their records
+already serialise to JSON-native values, so :func:`json_digest` hands
+them straight to the C encoder, a chunk at a time, and hashes the same
+bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
-from typing import Any
+import threading
+import weakref
+from typing import Any, Iterator
 
 
 def jsonable(value: Any) -> Any:
@@ -45,15 +53,87 @@ def stable_digest(value: Any) -> str:
     return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
 
 
+#: ``check_circular`` is off: digest payloads are trees the caller has
+#: just built, and the cycle check costs a dict insert per container.
+_DIGEST_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+)
+#: Items encoded per call when a list is passed as an iterator.
+_CHUNK = 256
+
+
+def json_digest(payload: Any) -> str:
+    """:func:`stable_digest` for a payload that is already JSON-native
+    (dicts with ``str`` keys, lists, strings, numbers, booleans, None).
+
+    Such a payload is its own canonical form, so the :func:`jsonable`
+    walk is skipped and the C encoder produces the bytes
+    :func:`stable_digest` hashes.  Any list may be passed as an iterator
+    instead; it is encoded a chunk at a time, so records built on the
+    fly are freed as they are hashed (a dataset's worth of live record
+    dicts triggers dozens of cyclic-GC passes, full ones included).
+    """
+    hasher = hashlib.sha256()
+    _feed(hasher, payload)
+    return hasher.hexdigest()
+
+
+def _feed(hasher: Any, value: Any) -> None:
+    if isinstance(value, dict):
+        hasher.update(b"{")
+        for i, key in enumerate(sorted(value)):
+            head = ("," if i else "") + _DIGEST_ENCODER.encode(key) + ":"
+            hasher.update(head.encode("utf-8"))
+            _feed(hasher, value[key])
+        hasher.update(b"}")
+    elif isinstance(value, Iterator):
+        hasher.update(b"[")
+        sep = ""
+        for chunk in iter(lambda: list(itertools.islice(value, _CHUNK)), []):
+            text = sep + _DIGEST_ENCODER.encode(chunk)[1:-1]
+            hasher.update(text.encode("utf-8"))
+            sep = ","
+        hasher.update(b"]")
+    else:
+        hasher.update(_DIGEST_ENCODER.encode(value).encode("utf-8"))
+
+
+_VOLATILE_TOKENS: "weakref.WeakKeyDictionary[Any, str]" = (
+    weakref.WeakKeyDictionary()
+)
+_VOLATILE_COUNTER = itertools.count()
+_VOLATILE_LOCK = threading.Lock()
+
+
+def _volatile_token(obj: Any) -> str:
+    """A token unique to *obj* (and objects equal to it) while it lives.
+
+    Unlike ``id()``, a token is never handed to a later object, so a
+    freed object's cached artifacts can never be served to its
+    successor.  Objects that cannot be weakly referenced or hashed get
+    a fresh token on every call: always a miss, never a false hit.
+    """
+    with _VOLATILE_LOCK:
+        try:
+            token = _VOLATILE_TOKENS.get(obj)
+            if token is None:
+                token = "volatile:%x" % next(_VOLATILE_COUNTER)
+                _VOLATILE_TOKENS[obj] = token
+            return token
+        except TypeError:
+            return "volatile:%x" % next(_VOLATILE_COUNTER)
+
+
 def dataset_digest(obj: Any) -> str:
     """Best-effort content digest of a dataset object.
 
     Objects exposing ``content_digest()`` (WHOIS datasets, PeeringDB
     snapshots, the simulated web) get a true content address; anything
-    else falls back to a per-object token, which keeps caching correct
-    (never a false hit) at the cost of cross-process reuse.
+    else (a live HTTP driver) gets a per-object token, which keeps
+    caching correct (never a false hit) at the cost of cross-process
+    reuse.
     """
     method = getattr(obj, "content_digest", None)
     if callable(method):
         return str(method())
-    return "volatile:%x" % id(obj)
+    return _volatile_token(obj)

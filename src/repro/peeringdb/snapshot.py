@@ -24,11 +24,19 @@ from .models import Network, Organization
 
 @dataclass
 class PDBSnapshot:
-    """An in-memory PeeringDB snapshot with indexed lookups."""
+    """An in-memory PeeringDB snapshot with indexed lookups.
+
+    Write-once after :meth:`build`: :meth:`content_digest` is memoized,
+    so build a new snapshot (as :meth:`restricted_to` does) instead of
+    mutating one.
+    """
 
     orgs: Dict[PdbOrgID, Organization] = field(default_factory=dict)
     nets: Dict[ASN, Network] = field(default_factory=dict)
     meta: Dict[str, Any] = field(default_factory=dict)
+    _digest: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- construction ---------------------------------------------------
 
@@ -122,12 +130,18 @@ class PDBSnapshot:
 
         ``meta`` (generation timestamps, source labels) is excluded: two
         snapshots with identical org/net data are the same input.
+        Computed on first use and memoized (the snapshot is write-once).
         """
-        from ..digest import stable_digest
+        if self._digest is None:
+            from ..digest import json_digest
 
-        payload = self.to_json()
-        payload.pop("meta", None)
-        return stable_digest(payload)
+            # to_json() without "meta", its records streamed.
+            orgs = (o.to_json() for o in self.organizations())
+            nets = (n.to_json() for n in self.networks())
+            self._digest = json_digest(
+                {"org": {"data": orgs}, "net": {"data": nets}}
+            )
+        return self._digest
 
     def restricted_to(self, asns: Iterable[ASN]) -> "PDBSnapshot":
         """Return a sub-snapshot containing only the given ASNs.

@@ -34,8 +34,8 @@ access org), which needs the global total for normalization anyway.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -55,7 +55,11 @@ from ..apnic import ApnicDataset, PopulationRecord
 from ..config import UniverseConfig
 from ..errors import DataError
 from ..types import ASN
-from ..whois.as2org_file import RELEASE_HEADER_PREFIX, RELEASE_HEADER_SCHEMA
+from ..whois.as2org_file import (
+    RELEASE_HEADER_PREFIX,
+    RELEASE_HEADER_SCHEMA,
+    release_digest,
+)
 from .stream import UniversePlan, build_plan, materialize_chunk
 
 #: Filenames written into the output directory (same as `borges generate`).
@@ -72,29 +76,6 @@ _SORT_KEYS: Dict[str, Callable[[Dict[str, object]], object]] = {
     "pdb_orgs": lambda r: int(r["id"]),  # type: ignore[arg-type]
     "nets": lambda r: int(r["asn"]),  # type: ignore[arg-type]
 }
-
-
-class _IncrementalLineDigest:
-    """SHA-256 over the canonical JSON of a list of strings, fed one at
-    a time — matches :func:`repro.digest.stable_digest` on the full list
-    without materializing it."""
-
-    def __init__(self) -> None:
-        self._hash = hashlib.sha256(b"[")
-        self._first = True
-
-    def add(self, line: str) -> None:
-        if not self._first:
-            self._hash.update(b",")
-        self._first = False
-        # canonical_json leaves strings to json.dumps' default
-        # (ensure_ascii=True) encoding, which we reproduce here.
-        self._hash.update(json.dumps(line).encode("utf-8"))
-
-    def hexdigest(self) -> str:
-        final = self._hash.copy()
-        final.update(b"]")
-        return final.hexdigest()
 
 
 class _Monotone:
@@ -180,6 +161,13 @@ def _finalize_pdb(
         sink.write(skeleton[pos:])
 
 
+def _spooled(lines: Iterable[str], sink: IO[str]) -> Iterator[str]:
+    """Yield *lines* as they are written, one per line, to *sink*."""
+    for line in lines:
+        sink.write(line + "\n")
+        yield line
+
+
 def _finalize_as2org(
     path: Path,
     org_lines: Iterable[str],
@@ -190,19 +178,15 @@ def _finalize_as2org(
     """Two streaming passes: digest the record lines, then write
     header + records (the integrity header must come first and carries
     a digest over everything after it)."""
-    digest = _IncrementalLineDigest()
     spool = path.with_suffix(path.suffix + ".part")
     with spool.open("w", encoding="utf-8") as sink:
-        for line in org_lines:
-            digest.add(line)
-            sink.write(line + "\n")
-        for line in asn_lines:
-            digest.add(line)
-            sink.write(line + "\n")
+        digest = release_digest(
+            _spooled(itertools.chain(org_lines, asn_lines), sink)
+        )
     header = RELEASE_HEADER_PREFIX + json.dumps(
         {
             "schema": RELEASE_HEADER_SCHEMA,
-            "digest": digest.hexdigest(),
+            "digest": digest,
             "orgs": n_orgs,
             "asns": n_asns,
         },

@@ -196,20 +196,20 @@ class SimulatedWeb:
         state, not content, so it does not participate.
         """
         if self._content_digest is None:
-            from ..digest import stable_digest
+            from ..digest import json_digest
 
-            self._content_digest = stable_digest(
-                [
+            self._content_digest = json_digest(
+                (
                     {
                         "host": site.host,
                         "title": site.title,
                         "redirect_kind": str(site.redirect_kind.value),
                         "redirect_target": site.redirect_target,
-                        "favicon": site.favicon,
+                        "favicon": "bytes:" + site.favicon.hex(),
                         "alive": site.alive,
                     }
                     for site in self.sites()
-                ]
+                )
             )
         return self._content_digest
 

@@ -26,9 +26,9 @@ from __future__ import annotations
 import gzip
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Union
 
-from ..digest import stable_digest
+from ..digest import json_digest
 from ..errors import SchemaError, SnapshotError
 from .dataset import WhoisDataset
 from .models import ASNDelegation, WhoisOrg
@@ -40,9 +40,10 @@ RELEASE_HEADER_PREFIX = "# borges-release "
 RELEASE_HEADER_SCHEMA = 1
 
 
-def release_digest(record_lines: Sequence[str]) -> str:
-    """Content digest over a release's record lines (order-sensitive)."""
-    return stable_digest(list(record_lines))
+def release_digest(record_lines: Iterable[str]) -> str:
+    """Content digest over a release's record lines (order-sensitive):
+    the canonical digest of their list, streamed."""
+    return json_digest(iter(record_lines))
 
 
 def _read_text(path: Path) -> str:

@@ -16,7 +16,12 @@ from .models import ASNDelegation, WhoisOrg
 
 @dataclass
 class WhoisDataset:
-    """All WHOIS organizations and ASN delegations at one snapshot."""
+    """All WHOIS organizations and ASN delegations at one snapshot.
+
+    Write-once after :meth:`build`: :meth:`content_digest` is memoized,
+    so build a new dataset (as :meth:`restricted_to` does) instead of
+    mutating one.
+    """
 
     orgs: Dict[WhoisOrgID, WhoisOrg] = field(default_factory=dict)
     delegations: Dict[ASN, ASNDelegation] = field(default_factory=dict)
@@ -25,6 +30,9 @@ class WhoisDataset:
     # added after a lookup) invalidates instead of serving a stale index.
     _members_cache: Optional[Tuple[int, Dict[WhoisOrgID, List[ASN]]]] = field(
         default=None, repr=False, compare=False
+    )
+    _digest: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     @classmethod
@@ -99,20 +107,26 @@ class WhoisDataset:
         }
 
     def content_digest(self) -> str:
-        """Stable content hash; anchors stage-artifact fingerprints."""
-        from ..digest import stable_digest
+        """Stable content hash; anchors stage-artifact fingerprints.
 
-        return stable_digest(
-            {
-                "orgs": [
-                    self.orgs[org_id].to_json() for org_id in sorted(self.orgs)
-                ],
-                "delegations": [
-                    self.delegations[asn].to_json()
-                    for asn in sorted(self.delegations)
-                ],
-            }
-        )
+        Computed on first use and memoized (the dataset is write-once).
+        """
+        if self._digest is None:
+            from ..digest import json_digest
+
+            self._digest = json_digest(
+                {
+                    "orgs": (
+                        self.orgs[org_id].to_json()
+                        for org_id in sorted(self.orgs)
+                    ),
+                    "delegations": (
+                        self.delegations[asn].to_json()
+                        for asn in sorted(self.delegations)
+                    ),
+                }
+            )
+        return self._digest
 
     def restricted_to(self, asns: Iterable[ASN]) -> "WhoisDataset":
         """Return a sub-dataset containing only the given ASNs."""
