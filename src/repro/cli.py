@@ -153,18 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "partition the dataset into N org-closed shards and run one "
-            "stage DAG per shard; the final mapping is byte-identical "
-            "to an unsharded run"
-        ),
-    )
-    run.add_argument(
-        "--shard-workers",
-        choices=("thread", "process"),
-        default="thread",
-        help=(
-            "concurrency substrate for sharded runs: threads (share one "
-            "GIL) or forked processes (CPU parallelism; results are "
-            "byte-identical either way)"
+            "stage DAG per shard, each in a forked process; the final "
+            "mapping is byte-identical to an unsharded run"
         ),
     )
     _add_shard_fault_options(run)
@@ -208,13 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="run sharded (one stage DAG per org-closed shard)",
-    )
-    telemetry.add_argument(
-        "--shard-workers",
-        choices=("thread", "process"),
-        default="thread",
-        help="thread (default) or forked-process shard workers",
+        help="run sharded (one forked stage DAG per org-closed shard)",
     )
     _add_shard_fault_options(telemetry)
 
@@ -804,7 +788,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             n_shards=args.shards,
             stages=args.stages,
             artifact_store=store,
-            shard_workers=args.shard_workers,
             **_shard_fault_kwargs(args),
         )
         _RUN_ARTIFACTS.update(config=config, result=result)
@@ -902,7 +885,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
             config,
             n_shards=args.shards,
             artifact_store=_artifact_store(args),
-            shard_workers=args.shard_workers,
             **_shard_fault_kwargs(args),
         )
         _RUN_ARTIFACTS.update(config=config, result=result)

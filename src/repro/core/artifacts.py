@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from ..digest import canonical_json, stable_digest
 from ..logutil import get_logger
@@ -31,6 +31,9 @@ _LOG = get_logger("core.artifacts")
 #: version participates in every fingerprint, so stale caches miss
 #: instead of decoding garbage.
 ARTIFACT_SCHEMA_VERSION = 1
+
+#: The per-stage events :attr:`ArtifactStore.counters` tallies.
+_COUNTER_EVENTS = ("computed", "memory_hits", "disk_hits", "misses")
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,8 @@ class ArtifactStore:
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
         self._memory: Dict[str, Artifact] = {}
+        #: Fingerprints an :meth:`overlay` started with (not its additions).
+        self._inherited: frozenset = frozenset()
         self._lock = threading.Lock()
         #: stage name → {"computed": n, "memory_hits": n, "disk_hits": n,
         #:               "misses": n}
@@ -111,8 +116,7 @@ class ArtifactStore:
     def _count(self, stage: str, event: str) -> None:
         with self._lock:
             per_stage = self.counters.setdefault(
-                stage,
-                {"computed": 0, "memory_hits": 0, "disk_hits": 0, "misses": 0},
+                stage, dict.fromkeys(_COUNTER_EVENTS, 0)
             )
             per_stage[event] += 1
 
@@ -180,6 +184,48 @@ class ArtifactStore:
             except OSError as exc:
                 _LOG.warning("cannot persist artifact to %s: %s", path, exc)
         return artifact
+
+    # -- forked shards ----------------------------------------------------
+
+    def overlay(self) -> "ArtifactStore":
+        """A store seeded with this one's artifacts, for a forked shard.
+
+        It shares the disk mirror but has its own lock and zeroed
+        counters, so :meth:`added` and :attr:`counters` are exactly what
+        the shard did; the parent folds both back with :meth:`absorb`.
+        """
+        child = ArtifactStore(self.root)
+        child._memory = dict(self._memory)
+        child._inherited = frozenset(child._memory)
+        return child
+
+    def added(self) -> List[Artifact]:
+        """Artifacts computed or loaded since :meth:`overlay` made this store."""
+        with self._lock:
+            return [
+                artifact
+                for fingerprint, artifact in self._memory.items()
+                if fingerprint not in self._inherited
+            ]
+
+    def absorb(
+        self,
+        artifacts: Iterable[Artifact],
+        counters: Dict[str, Dict[str, int]],
+    ) -> None:
+        """Take in an overlay's :meth:`added` artifacts and counter events.
+
+        Memory only: the overlay already persisted what it computed.
+        """
+        with self._lock:
+            for artifact in artifacts:
+                self._memory.setdefault(artifact.fingerprint, artifact)
+            for stage, events in counters.items():
+                per_stage = self.counters.setdefault(
+                    stage, dict.fromkeys(_COUNTER_EVENTS, 0)
+                )
+                for event, count in events.items():
+                    per_stage[event] += count
 
     # -- accounting -------------------------------------------------------
 

@@ -31,8 +31,13 @@ from ..llm.client import ChatClient
 from ..llm.simulated import make_default_client
 from ..logutil import get_logger
 from ..obs.process import record_peak_rss
-from ..obs.registry import DEFAULT_COUNT_BUCKETS, MetricsRegistry, get_registry
-from ..obs.tracer import Tracer, get_tracer
+from ..obs.registry import (
+    DEFAULT_COUNT_BUCKETS,
+    MetricsRegistry,
+    get_registry,
+    set_registry,
+)
+from ..obs.tracer import Span, Tracer, get_tracer, set_tracer
 from ..peeringdb import PDBSnapshot
 from ..resilience.faults import (
     FaultInjector,
@@ -46,7 +51,7 @@ from ..web.favicon import FaviconAPI
 from ..web.scraper import HeadlessScraper
 from ..web.simweb import SimulatedWeb
 from ..whois import WhoisDataset
-from .artifacts import ArtifactStore
+from .artifacts import Artifact, ArtifactStore
 from .executor import ExecutionOutcome, StageExecutor
 from .mapping import OrgMapping
 from .merge import merge_clusters, reduce_shard_clusters
@@ -63,6 +68,7 @@ from .stages import (
     build_stage_graph,
     stage_clusters,
 )
+from .supervise import run_supervised
 from .web_inference import (
     _FAVICON_STAT_FIELDS,
     WebInferenceModule,
@@ -504,6 +510,24 @@ class ShardedBorgesResult(BorgesResult):
         }
 
 
+@dataclass
+class _ShardReport:
+    """What a forked shard attempt sends back to the parent.
+
+    Besides the shard's :class:`BorgesResult`: its finished
+    ``pipeline.shard`` span tree, the metric families of its fresh
+    registry, the artifacts it added to its overlay of the caller's
+    store, and that overlay's hit/miss/computed counters.
+    """
+
+    result: BorgesResult
+    duration: float
+    span: Span
+    metrics: List[object]
+    artifacts: List[Artifact]
+    cache_counters: Dict[str, Dict[str, int]]
+
+
 def run_sharded(
     whois: WhoisDataset,
     pdb: PDBSnapshot,
@@ -515,37 +539,45 @@ def run_sharded(
     tracer: Optional[Tracer] = None,
     registry: Optional[MetricsRegistry] = None,
     artifact_store: Optional[ArtifactStore] = None,
-    shard_workers: str = "thread",
     shard_retries: int = 1,
     shard_deadline: Optional[float] = None,
-    heartbeat_interval: float = 0.2,
     checkpoint_path: Optional[object] = None,
     resume: bool = False,
 ) -> ShardedBorgesResult:
     """Run the pipeline sharded: partition → N stage DAGs → reduce.
 
     The dataset is split into closed, balanced shards (see
-    :mod:`repro.core.partition`); one :class:`BorgesPipeline` per shard
-    runs the ordinary stage DAG over ``whois``/``pdb`` restricted to the
-    shard's ASNs (the full web stays shared — it is read-only), all
-    shards feeding one :class:`ArtifactStore`.  Restricted-dataset
-    digests give every shard its own stage fingerprints, so warm re-runs
-    stay incremental per shard.  The final reduce unions the per-shard
+    :mod:`repro.core.partition`).  Each shard attempt runs in a forked
+    child (:func:`~repro.core.supervise.run_supervised`), which
+    restricts ``whois``/``pdb`` to the shard's ASNs and runs one
+    :class:`BorgesPipeline` over them — the ordinary stage DAG; the
+    full web stays shared, it is read-only.  Restricted-dataset digests
+    give every shard its own stage fingerprints, so warm re-runs stay
+    incremental per shard.  The final reduce unions the per-shard
     cluster lists (:func:`~repro.core.merge.reduce_shard_clusters` —
     associative, hence exact) into one mapping over the full universe;
     because the partition is closed, that mapping is byte-identical to
     the unsharded one *when every shard succeeded*.
 
-    **Fault tolerance.**  Shards run under the supervised fan-out
-    (:func:`~repro.serve.shm.pool.run_supervised`): an attempt that
-    raises, crashes its forked child, or outlives *shard_deadline*
-    seconds (process mode: SIGKILL; thread mode: the watchdog abandons
-    the attempt) is retried up to *shard_retries* more times with
-    seeded-jitter backoff.  A shard that exhausts its budget is
-    *quarantined*: the run completes ``degraded`` over the survivors,
-    whose union is the salvaged mapping — restricted to the surviving
-    shards' ASNs, because the run knows nothing about the dead ones.
-    Only a run that loses *every* shard raises.
+    **What comes back from a child.**  The child runs against a fresh
+    :class:`Tracer` and :class:`MetricsRegistry` (it never takes a lock
+    another parent thread may have held at fork time) and an
+    :meth:`~repro.core.artifacts.ArtifactStore.overlay` of the caller's
+    store.  With its result it sends back its ``pipeline.shard`` span
+    tree, its metric families, the artifacts it added and its cache
+    counters; the parent attaches the spans under ``pipeline.sharded``,
+    merges the metrics into *registry* and absorbs the artifacts into
+    the store's memory, so callers see the shard work as if it had run
+    in-process.
+
+    **Fault tolerance.**  An attempt that raises, crashes its child, or
+    outlives *shard_deadline* seconds (SIGKILLed) is retried up to
+    *shard_retries* more times with seeded-jitter backoff.  A shard
+    that exhausts its budget is *quarantined*: the run completes
+    ``degraded`` over the survivors, whose union is the salvaged
+    mapping — restricted to the surviving shards' ASNs, because the run
+    knows nothing about the dead ones.  Only a run that loses *every*
+    shard raises.
 
     **Crash-safe resume.**  With *checkpoint_path*, every completed
     shard's cluster lists are journaled as they land (digest-chained,
@@ -555,28 +587,14 @@ def run_sharded(
     degraded run converges to the clean byte-identical mapping by
     re-running only what's missing.
 
-    Shards run concurrently, bounded by ``config.executor.max_workers``,
-    except under an active fault profile, where shards run sequentially
-    (each shard's pipeline is already sequential under chaos) so
-    injected faults remain a pure function of the profile and seed.
+    Shards run concurrently, bounded by ``config.executor.max_workers``.
+    Each child builds its own fault injector, so injected faults stay a
+    pure function of the profile and seed whatever the concurrency.
     Shard-surface chaos (``shard-crash``/``shard-hang``/``shard-flaky``)
-    is drawn in the parent via
-    :func:`~repro.resilience.faults.shard_fault_decision` and acted out
-    inside the shard attempt, identically across both worker modes.
-
-    *shard_workers* selects the concurrency substrate: ``"thread"``
-    (default) shares one process; ``"process"`` forks one child per
-    shard, escaping the GIL for CPU-bound stages.  The reduce is
-    associative and the partition closed, so the combined mapping is
-    byte-identical across modes; process mode trades away shard spans
-    in the parent tracer and in-memory artifact-cache sharing (a
-    disk-backed cache dir is shared fine).
+    is a pure function too
+    (:func:`~repro.resilience.faults.shard_fault_decision`), acted out
+    inside the shard attempt.
     """
-    if shard_workers not in ("thread", "process"):
-        raise ValueError(
-            "shard_workers must be 'thread' or 'process', "
-            f"got {shard_workers!r}"
-        )
     if shard_retries < 0:
         raise ValueError(f"shard_retries must be >= 0, got {shard_retries}")
     config = (config or BorgesConfig()).validate()
@@ -587,16 +605,14 @@ def run_sharded(
         cache_dir = config.executor.artifact_cache_dir
         store = ArtifactStore(root=cache_dir) if cache_dir else ArtifactStore()
 
-    from ..serve.shm.pool import run_supervised
     from .checkpoint import RunCheckpoint, run_identity
 
     profile = resolve_fault_profile(config.resilience.fault_profile)
-    fault_active = profile.active
     seed = config.resilience.fault_seed
     if shard_deadline is None and profile.shard_hang > 0.0:
         shard_deadline = DEFAULT_HANG_DEADLINE
 
-    with spans.span("pipeline.sharded", shards=n_shards):
+    with spans.span("pipeline.sharded", shards=n_shards) as sharded_span:
         with spans.span("pipeline.partition"):
             plan = partition_universe(whois, pdb, web, n_shards)
         metrics.gauge(
@@ -640,52 +656,46 @@ def run_sharded(
         resumed = sorted(completed)
         to_run = [s.index for s in plan.shards if s.index not in completed]
 
-        pipelines: Dict[int, BorgesPipeline] = {}
-        for shard in plan.shards:
-            if shard.index not in to_run:
-                continue
-            with spans.span("pipeline.shard_datasets", shard=shard.index):
-                shard_whois = whois.restricted_to(shard.asns)
-                shard_pdb = pdb.restricted_to(shard.asns)
-            pipelines[shard.index] = BorgesPipeline(
-                shard_whois,
-                shard_pdb,
-                web,
-                config,
-                tracer=tracer,
-                registry=registry,
-                artifact_store=store,
-                metric_labels={"shard": str(shard.index)},
+        def run_shard(index: int) -> _ShardReport:
+            """One shard attempt, inside its forked child."""
+            shard_tracer, shard_metrics = Tracer(), MetricsRegistry()
+            set_tracer(shard_tracer)
+            set_registry(shard_metrics)
+            shard_store = store.overlay()
+            asns = plan.shards[index].asns
+            start = time.perf_counter()
+            with shard_tracer.attach(sharded_span), shard_tracer.span(
+                "pipeline.shard", shard=index
+            ) as shard_span:
+                with shard_tracer.span("pipeline.shard_datasets", shard=index):
+                    shard_whois = whois.restricted_to(asns)
+                    shard_pdb = pdb.restricted_to(asns)
+                result = BorgesPipeline(
+                    shard_whois,
+                    shard_pdb,
+                    web,
+                    config,
+                    tracer=shard_tracer,
+                    registry=shard_metrics,
+                    artifact_store=shard_store,
+                    metric_labels={"shard": str(index)},
+                ).run(stages=stages)
+            return _ShardReport(
+                result=result,
+                duration=time.perf_counter() - start,
+                span=shard_span,
+                metrics=shard_metrics.families(),
+                artifacts=shard_store.added(),
+                cache_counters=shard_store.counters,
             )
 
-        workers = (
-            1
-            if fault_active or len(to_run) <= 1
-            else min(len(to_run), max(1, config.executor.max_workers))
-        )
-
-        def run_one(index: int):
-            start = time.perf_counter()
-            with spans.span("pipeline.shard", shard=index):
-                result = pipelines[index].run(stages=stages)
-            return result, time.perf_counter() - start
-
         def make_thunk(index: int):
-            def thunk(attempt: int):
-                fault = (
-                    shard_fault_decision(profile, seed, index, attempt)
-                    if fault_active
-                    else None
-                )
+            def thunk(attempt: int) -> _ShardReport:
+                fault = shard_fault_decision(profile, seed, index, attempt)
                 if fault == "crash":
-                    if shard_workers == "process":
-                        # Die the way a real shard dies: no exception, no
-                        # report, just a vanished child.
-                        os._exit(23)
-                    raise RuntimeError(
-                        f"shard {index}: injected fault: crashed on "
-                        f"attempt {attempt}"
-                    )
+                    # Die the way a real shard dies: no exception, no
+                    # report, just a vanished child.
+                    os._exit(23)
                 if fault == "hang":
                     time.sleep(profile.shard_hang_seconds)
                     raise RuntimeError(
@@ -693,7 +703,7 @@ def run_sharded(
                         f"attempt {attempt}"
                     )
                 try:
-                    return run_one(index)
+                    return run_shard(index)
                 except Exception as exc:
                     # Attach the shard index: a bare exception out of a
                     # worker loses which shard raised it.
@@ -708,24 +718,22 @@ def run_sharded(
             # that is what makes a mid-run crash resumable.
             if checkpoint is None or not outcome.ok:
                 return
-            shard_index = to_run[outcome.index]
-            result, duration = outcome.value
+            report: _ShardReport = outcome.value
             checkpoint.record_shard(
-                shard_index,
-                merged=result.mapping.clusters(),
+                to_run[outcome.index],
+                merged=report.result.mapping.clusters(),
                 features={
                     name: feature.clusters
-                    for name, feature in result.features.items()
+                    for name, feature in report.result.features.items()
                 },
-                duration_seconds=duration,
+                duration_seconds=report.duration,
             )
 
         outcomes = []
         if to_run:
             outcomes = run_supervised(
                 [make_thunk(index) for index in to_run],
-                max_workers=workers,
-                mode=shard_workers,
+                max_workers=min(len(to_run), config.executor.max_workers),
                 deadline=shard_deadline,
                 retries=shard_retries,
                 retry_policy=RetryPolicy(
@@ -734,7 +742,6 @@ def run_sharded(
                     max_delay=1.0,
                     seed=seed,
                 ),
-                heartbeat_interval=heartbeat_interval,
                 on_outcome=on_outcome,
             )
 
@@ -763,17 +770,23 @@ def run_sharded(
                 shard=str(shard_index),
             ).observe(float(outcome.attempts))
             if outcome.ok:
-                result, duration = outcome.value
-                shard_result_map[shard_index] = result
-                duration_map[shard_index] = duration
+                report: _ShardReport = outcome.value
+                shard_result_map[shard_index] = report.result
+                duration_map[shard_index] = report.duration
+                sharded_span.children.append(report.span)
+                metrics.merge(report.metrics)
+                store.absorb(report.artifacts, report.cache_counters)
             else:
                 failed_shards.append(shard_index)
                 metrics.counter(
                     "pipeline_shard_quarantined_total",
                     "shards quarantined after exhausting their retries",
                 ).inc()
+                # A crashed child reports nothing, so the note itself
+                # names the shard.
                 quarantine_notes[f"shard:{shard_index}"] = (
-                    f"quarantined after {outcome.attempts} attempts "
+                    f"shard {shard_index}: quarantined after "
+                    f"{outcome.attempts} attempts "
                     f"({outcome.exit_reason}): {outcome.error}"
                 )
         if not shard_result_map and not completed:

@@ -267,6 +267,39 @@ class MetricsRegistry:
             }
         return out
 
+    def merge(self, families: Sequence[_Family]) -> None:
+        """Fold another registry's :meth:`families` into this one.
+
+        Counters add, gauges take the incoming value, histograms add
+        bucket by bucket.  A forked shard runs against a fresh registry
+        and sends its families back; this is how the caller's registry
+        sees the shard's work.
+        """
+        for family in families:
+            for key, child in family.children.items():
+                if isinstance(child, Histogram):
+                    target = self._child(
+                        family.name, family.kind, family.help, dict(key),
+                        lambda: Histogram(child.buckets),
+                    )
+                    if target.buckets != child.buckets:
+                        raise ConfigError(
+                            f"histogram {family.name!r} bucket bounds differ"
+                        )
+                    for i, count in enumerate(child.bucket_counts):
+                        target.bucket_counts[i] += count
+                    target.sum += child.sum
+                    target.count += child.count
+                    continue
+                target = self._child(
+                    family.name, family.kind, family.help, dict(key),
+                    type(child),
+                )
+                if isinstance(child, Counter):
+                    target.inc(child.value)
+                else:
+                    target.set(child.value)
+
     def value(self, name: str, **labels: object) -> float:
         """Convenience for tests: a counter/gauge child's current value."""
         family = self._families.get(name)

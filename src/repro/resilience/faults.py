@@ -232,7 +232,7 @@ PROFILES: Dict[str, FaultProfile] = {
             name="shard-crash",
             description=(
                 "roughly half the shards of a sharded run die mid-attempt "
-                "(fork: os._exit; thread: raised fault) on every attempt; "
+                "(the forked child calls os._exit) on every attempt; "
                 "retries exhaust, so the run must quarantine the doomed "
                 "shards and salvage a degraded mapping from the survivors"
             ),
@@ -295,12 +295,10 @@ def shard_fault_decision(
 ) -> Optional[str]:
     """The fault a shard attempt must act out (``crash``/``hang``/``None``).
 
-    Drawn in the *parent*, never inside the shard worker: a forked child
-    inherits a copy of any injector state, so child-side draws would
-    reset the occurrence counter on every retry and re-roll the same
-    coin forever.  A pure function of ``(seed, profile, shard, attempt)``
-    keeps chaos runs byte-reproducible and identical across thread and
-    process execution.
+    Never drawn from an injector: a forked child inherits a copy of any
+    injector state, so injector draws would reset the occurrence counter
+    on every retry and re-roll the same coin forever.  A pure function of ``(seed, profile, shard, attempt)``
+    keeps chaos runs byte-reproducible whatever the shard concurrency.
 
     ``crash`` and ``hang`` are attempt-independent — a poisoned shard
     stays poisoned, so a bounded retry budget exhausts and the

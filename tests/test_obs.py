@@ -111,6 +111,31 @@ class TestRegistry:
         registry.reset()
         assert registry.families() == []
 
+    def test_merge_adds_counters_sets_gauges_adds_histograms(self):
+        parent, child = MetricsRegistry(), MetricsRegistry()
+        parent.counter("c", shard="0").inc(2)
+        parent.gauge("g").set(1)
+        parent.histogram("h", buckets=[1.0]).observe(0.5)
+        child.counter("c", shard="0").inc(3)
+        child.counter("c", shard="1").inc()
+        child.gauge("g").set(7)
+        child.histogram("h", buckets=[1.0]).observe(2.0)
+        parent.merge(child.families())
+        assert parent.value("c", shard="0") == 5
+        assert parent.value("c", shard="1") == 1
+        assert parent.value("g") == 7
+        merged = parent.histogram("h", buckets=[1.0])
+        assert merged.count == 2
+        assert merged.sum == 2.5
+        assert merged.bucket_counts == [1, 1]
+
+    def test_merge_rejects_mismatched_histogram_buckets(self):
+        parent, child = MetricsRegistry(), MetricsRegistry()
+        parent.histogram("h", buckets=[1.0])
+        child.histogram("h", buckets=[2.0]).observe(1.5)
+        with pytest.raises(ConfigError):
+            parent.merge(child.families())
+
 
 class TestTracer:
     def test_nested_spans_parent_child(self):
@@ -360,3 +385,42 @@ class TestTelemetryCLI:
         document = load_manifest(path)
         span_names = {s["name"] for s in document["spans"]}
         assert "experiment.table3" in span_names
+
+
+def test_peak_rss_counts_forked_children():
+    """A forked child's high-water mark reaches the gauge.
+
+    The child touches enough memory to end up about 64 MiB above the
+    parent's own all-time peak.
+    """
+    import mmap
+    import resource
+    from pathlib import Path
+
+    from repro.core.supervise import run_supervised
+    from repro.obs import PEAK_RSS_GAUGE
+    from repro.obs.process import record_peak_rss
+
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        pytest.skip("needs /proc/self/statm for the current RSS")
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+    def touch(attempt):
+        # Measured here, not in the parent: the child's RSS at fork counts
+        # only the parent pages it maps privately.  A fresh anonymous map
+        # is needed because writing to heap pages the child shares
+        # copy-on-write with the parent does not raise its RSS.
+        current = int(statm.read_text().split()[1]) * mmap.PAGESIZE
+        size = max(0, own - current) + (64 << 20)
+        block = mmap.mmap(-1, size)
+        for offset in range(0, size, mmap.PAGESIZE):
+            block[offset] = 1
+        return size
+
+    (outcome,) = run_supervised([touch])
+    assert outcome.ok, outcome.error
+    registry = MetricsRegistry()
+    record_peak_rss(registry)
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    assert registry.value(PEAK_RSS_GAUGE) > own

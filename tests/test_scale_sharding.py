@@ -214,26 +214,37 @@ def test_sharded_metrics_and_diagnostics(universe):
     child_names = {child.name for child in sharded.children}
     assert "pipeline.partition" in child_names
     assert "pipeline.reduce" in child_names
+    # Each forked shard's span tree comes back under pipeline.sharded.
+    merge_shards = {
+        shard.attributes["shard"]
+        for shard in sharded.children
+        if shard.name == "pipeline.shard"
+        for span in shard.walk()
+        if span.name == "stage.merge"
+    }
+    assert merge_shards == {0, 1, 2}
 
 
 def test_sharded_warm_rerun_is_cached_per_shard(universe, tmp_path):
     from repro.core import ArtifactStore
 
-    store = ArtifactStore(root=tmp_path / "cache")
-    config = BorgesConfig()
-    first = run_sharded(
-        universe.whois, universe.pdb, universe.web, config,
-        n_shards=2, artifact_store=store,
-    )
-    assert all(r["status"] == "ok" for r in first.stage_records)
-    second = run_sharded(
-        universe.whois, universe.pdb, universe.web, config,
-        n_shards=2, artifact_store=store,
-    )
-    assert all(r["status"] == "cached" for r in second.stage_records)
-    assert mapping_bytes(second.mapping, tmp_path, "second.json") == (
-        mapping_bytes(first.mapping, tmp_path, "first.json")
-    )
+    # Disk-backed, and in-memory: forked shards must send their
+    # artifacts back for the caller's in-memory store to serve a re-run.
+    for store in (ArtifactStore(root=tmp_path / "cache"), ArtifactStore()):
+        config = BorgesConfig()
+        first = run_sharded(
+            universe.whois, universe.pdb, universe.web, config,
+            n_shards=2, artifact_store=store,
+        )
+        assert all(r["status"] == "ok" for r in first.stage_records)
+        second = run_sharded(
+            universe.whois, universe.pdb, universe.web, config,
+            n_shards=2, artifact_store=store,
+        )
+        assert all(r["status"] == "cached" for r in second.stage_records)
+        assert mapping_bytes(second.mapping, tmp_path, "second.json") == (
+            mapping_bytes(first.mapping, tmp_path, "first.json")
+        )
 
 
 # -- the associative reduce -------------------------------------------------

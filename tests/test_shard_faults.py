@@ -30,7 +30,7 @@ from repro.resilience.faults import (
     resolve_fault_profile,
     shard_fault_decision,
 )
-from repro.serve.shm.pool import ForkedOutcome, run_supervised
+from repro.core.supervise import ForkedOutcome, run_supervised
 from repro.universe import generate_universe
 
 SMALL = UniverseConfig(seed=3, n_organizations=100)
@@ -56,31 +56,30 @@ def cluster_key(mapping):
 
 class TestRunSupervised:
     def test_all_ok_returns_values_in_order(self):
-        outcomes = run_supervised(
-            [lambda a, i=i: i * 10 for i in range(4)], mode="thread"
-        )
+        outcomes = run_supervised([lambda a, i=i: i * 10 for i in range(4)])
         assert [o.value for o in outcomes] == [0, 10, 20, 30]
         assert all(o.ok and o.attempts == 1 for o in outcomes)
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_flaky_task_recovers_on_retry(self, mode):
+    def test_empty_input(self):
+        assert run_supervised([]) == []
+
+    def test_flaky_task_recovers_on_retry(self):
         def flaky(attempt: int):
             if attempt == 0:
                 raise RuntimeError("first attempt dies")
             return "recovered"
 
-        (outcome,) = run_supervised([flaky], mode=mode, retries=2)
+        (outcome,) = run_supervised([flaky], retries=2)
         assert outcome.ok
         assert outcome.value == "recovered"
         assert outcome.attempts == 2
         assert outcome.retries == 1
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_always_failing_task_quarantined(self, mode):
+    def test_always_failing_task_quarantined(self):
         def doomed(attempt: int):
             raise ValueError(f"doomed on {attempt}")
 
-        (outcome,) = run_supervised([doomed], mode=mode, retries=1)
+        (outcome,) = run_supervised([doomed], retries=1)
         assert not outcome.ok
         assert outcome.attempts == 2
         assert outcome.exit_reason == "error"
@@ -90,13 +89,21 @@ class TestRunSupervised:
         def crash(attempt: int):
             os._exit(41)
 
-        (outcome,) = run_supervised([crash], mode="process", retries=1)
+        (outcome,) = run_supervised([crash], retries=1)
         assert not outcome.ok
         assert outcome.exit_reason == "crashed"
         assert outcome.attempts == 2
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_hung_task_killed_within_wall_clock_bound(self, mode):
+    def test_unpicklable_result_is_an_error_not_a_crash(self, capfd):
+        import threading
+
+        (outcome,) = run_supervised([lambda a: threading.Lock()], retries=1)
+        assert not outcome.ok
+        assert outcome.exit_reason == "error"
+        assert "result not picklable" in outcome.error
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_hung_task_killed_within_wall_clock_bound(self):
         """The tight regression test: never blocks past deadline×(retries+1)."""
         deadline, retries = 0.4, 1
 
@@ -105,9 +112,7 @@ class TestRunSupervised:
             return "never"
 
         started = time.monotonic()
-        (outcome,) = run_supervised(
-            [hang], mode=mode, deadline=deadline, retries=retries
-        )
+        (outcome,) = run_supervised([hang], deadline=deadline, retries=retries)
         elapsed = time.monotonic() - started
         assert not outcome.ok
         assert outcome.exit_reason == "deadline"
@@ -123,43 +128,19 @@ class TestRunSupervised:
 
         (outcome,) = run_supervised(
             [slow_but_alive],
-            mode="process",
             deadline=5.0,
             heartbeat_interval=0.05,
         )
         assert outcome.ok
         assert outcome.heartbeats > 0
 
-    def test_fail_fast_cancels_siblings(self):
-        def doomed(attempt: int):
-            raise RuntimeError("die early")
-
-        def slow(attempt: int):
-            time.sleep(0.2)
-            return "late"
-
-        outcomes = run_supervised(
-            [doomed] + [slow] * 3,
-            mode="thread",
-            max_workers=1,
-            fail_fast=True,
-        )
-        assert not outcomes[0].ok
-        assert any(o.exit_reason == "cancelled" for o in outcomes[1:])
-
     def test_outcome_json_round_trip(self):
-        (outcome,) = run_supervised([lambda a: "x"], mode="thread")
+        (outcome,) = run_supervised([lambda a: "x"])
         record = outcome.to_json()
         assert record["ok"] is True
         assert record["attempts"] == 1
         assert record["retries"] == 0
         json.dumps(record)  # must be serialisable as-is
-
-    def test_unknown_mode_rejected(self):
-        from repro.errors import ServeError
-
-        with pytest.raises(ServeError):
-            run_supervised([lambda a: 1], mode="coroutine")
 
 
 # -- deterministic shard fault decisions ------------------------------------
@@ -367,8 +348,39 @@ class TestShardedChaos:
         by_shard = {int(r["shard"]): r for r in result.shard_attempts}
         for index in result.failed_shards:
             assert by_shard[index]["exit_reason"] == "deadline"
-        # Serial under chaos: 4 shards × deadline × 2 attempts + slack.
+        # Even serialised: 4 shards × deadline × 2 attempts + slack.
         assert elapsed < 4 * 0.5 * 2 + 10.0
+
+    def test_concurrent_shards_under_faults_are_deterministic(
+        self, small_universe, tmp_path
+    ):
+        """Each forked shard has its own injector: concurrency cannot
+        change which faults fire, so no serial fallback is needed."""
+        import dataclasses
+
+        from repro.config import ExecutorConfig
+
+        u = small_universe
+        config = dataclasses.replace(
+            BorgesConfig().with_fault_profile("flaky"),
+            executor=ExecutorConfig(max_workers=3),
+        )
+        runs = [run_sharded(u.whois, u.pdb, u.web, config, 3) for _ in range(2)]
+        first, second = (
+            mapping_bytes(run.mapping, tmp_path, f"run-{i}.json")
+            for i, run in enumerate(runs)
+        )
+        assert first == second
+        tallies = [
+            [
+                shard.diagnostics["resilience"]["faults_injected"]
+                for shard in run.shard_results
+            ]
+            for run in runs
+        ]
+        assert len(tallies[0]) == 3
+        assert any(any(tally.values()) for tally in tallies[0])
+        assert tallies[0] == tallies[1]
 
     def test_all_shards_lost_raises(self, small_universe):
         from repro.errors import DataError

@@ -235,6 +235,24 @@ class TestSweepSharing:
         assert store.counters["merge"]["computed"] == 15
 
 
+class TestStoreOverlay:
+    def test_overlay_additions_and_counters_fold_back(self, tmp_path):
+        from repro.core.artifacts import make_artifact
+
+        store = ArtifactStore(root=tmp_path)
+        old = store.put(make_artifact("a", "f" * 64, [1]))
+        overlay = store.overlay()
+        assert overlay.get("a", old.fingerprint) == old
+        new = overlay.put(make_artifact("b", "e" * 64, [2]))
+        assert overlay.added() == [new]
+        assert len(store) == 1
+        store.absorb(overlay.added(), overlay.counters)
+        assert len(store) == 2
+        assert store.counters["a"]["memory_hits"] == 1
+        assert store.counters["a"]["computed"] == 1
+        assert store.counters["b"]["computed"] == 1
+
+
 # ---------------------------------------------------------------------------
 # Executor config + CLI surface
 
